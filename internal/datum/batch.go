@@ -1,30 +1,32 @@
 package datum
 
-// BatchRows is the target row count per executor batch: large enough to
-// amortize per-batch costs (context ticks, fault draws, channel sends),
-// small enough to keep intermediate state cache-resident.
-const BatchRows = 1024
-
-// slabDatums sizes the backing arena slabs Alloc carves rows from.
+// slabDatums caps the backing arena slabs Alloc carves rows from.
 const slabDatums = 4096
 
 // Batch is a resizable run of rows backed by a datum arena. Rows built
-// with Alloc share large slabs instead of one heap allocation per row;
-// rows appended with Append keep whatever backing they arrived with.
-// When a slab is exhausted a new one is allocated — previously carved
-// rows keep pointing into the old slab, so references handed out by
-// Alloc stay valid for the life of the batch.
+// with Alloc share slabs instead of one heap allocation per row; rows
+// appended with Append keep whatever backing they arrived with.
+//
+// Slabs are sized on demand, so a batch allocates in proportion to the
+// rows it actually carves: while the row-capacity hint has rows left, a
+// new slab holds exactly the remaining hinted rows (up to slabDatums);
+// past the hint, or without one, slabs start at a few rows and double
+// up to slabDatums. When a slab is exhausted a new one is allocated —
+// previously carved rows keep pointing into the old slab, so references
+// handed out by Alloc stay valid for the life of the batch.
 type Batch struct {
 	rows []Row
 	slab []Datum
+	hint int
 }
 
-// NewBatch returns an empty batch with row capacity hint n.
+// NewBatch returns an empty batch with row capacity hint n; n <= 0
+// means no hint, and row headers then grow with the rows appended.
 func NewBatch(n int) *Batch {
 	if n <= 0 {
-		n = BatchRows
+		return &Batch{}
 	}
-	return &Batch{rows: make([]Row, 0, n)}
+	return &Batch{rows: make([]Row, 0, n), hint: n}
 }
 
 // Len reports the number of rows in the batch.
@@ -43,11 +45,7 @@ func (b *Batch) Append(r Row) { b.rows = append(b.rows, r) }
 // returns it for the caller to fill.
 func (b *Batch) Alloc(n int) Row {
 	if len(b.slab)+n > cap(b.slab) {
-		sz := slabDatums
-		if n > sz {
-			sz = n
-		}
-		b.slab = make([]Datum, 0, sz)
+		b.slab = make([]Datum, 0, b.nextSlab(n))
 	}
 	lo := len(b.slab)
 	// Grow len only — the slab must keep its capacity so later Allocs
@@ -60,6 +58,20 @@ func (b *Batch) Alloc(n int) Row {
 	}
 	b.rows = append(b.rows, r)
 	return r
+}
+
+// nextSlab sizes the slab that replaces an exhausted one for rows of
+// width n: the hinted rows still to come if any, else double the last
+// slab (starting at four rows), clamped to slabDatums but never below
+// one row.
+func (b *Batch) nextSlab(n int) int {
+	sz := 2 * cap(b.slab)
+	if rest := b.hint - len(b.rows); rest > 0 {
+		sz = rest * n
+	} else if sz < 4*n {
+		sz = 4 * n
+	}
+	return max(min(sz, slabDatums), n)
 }
 
 // Reset empties the batch, retaining row capacity and the current slab

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -277,7 +278,6 @@ func (e *run) seqScan(n *plan.SeqScan, c *Collector) ([]datum.Row, error) {
 		if ferr := e.faults.HitKeyed(fault.PageRead, morselKey(ord, i)); ferr != nil {
 			return nil, fmt.Errorf("executor: scan of %s: %w", n.Table, ferr)
 		}
-		b := datum.NewBatch(0)
 		if useVec {
 			// Columnar emission: pull the whole morsel's live rows in
 			// one lock round, then filter with the predicate kernels.
@@ -285,7 +285,9 @@ func (e *run) seqScan(n *plan.SeqScan, c *Collector) ([]datum.Row, error) {
 			rows := h.ScanRangeRows(storage.RID(i*morselRows), storage.RID((i+1)*morselRows),
 				w.rows[:0])
 			scanned.Add(int64(len(rows)))
-			for _, k := range vf.vecApply(&w.s, rows) {
+			sel := vf.vecApply(&w.s, rows)
+			b := datum.NewBatch(len(sel))
+			for _, k := range sel {
 				b.Append(rows[k])
 			}
 			// The batch copied the surviving row headers; only the
@@ -294,6 +296,7 @@ func (e *run) seqScan(n *plan.SeqScan, c *Collector) ([]datum.Row, error) {
 			putVecWork(w)
 			return b, nil
 		}
+		b := datum.NewBatch(0)
 		var sc int64
 		var werr error
 		h.ScanRange(storage.RID(i*morselRows), storage.RID((i+1)*morselRows),
@@ -378,7 +381,6 @@ func (e *run) indexScan(n *plan.IndexScan, c *Collector) ([]datum.Row, error) {
 		if ferr := e.faults.HitKeyed(fault.PageRead, morselKey(ord, i)); ferr != nil {
 			return nil, fmt.Errorf("executor: scan of index %s: %w", n.Index.Name, ferr)
 		}
-		b := datum.NewBatch(0)
 		it := shards[i].It
 		if useVec {
 			w := getVecWork()
@@ -387,7 +389,9 @@ func (e *run) indexScan(n *plan.IndexScan, c *Collector) ([]datum.Row, error) {
 				rows = append(rows, it.Entry().Key)
 				it.Next()
 			}
-			for _, k := range vf.vecApply(&w.s, rows) {
+			sel := vf.vecApply(&w.s, rows)
+			b := datum.NewBatch(len(sel))
+			for _, k := range sel {
 				b.Append(rows[k])
 			}
 			scanned.Add(int64(shards[i].N))
@@ -395,6 +399,7 @@ func (e *run) indexScan(n *plan.IndexScan, c *Collector) ([]datum.Row, error) {
 			putVecWork(w)
 			return b, nil
 		}
+		b := datum.NewBatch(0)
 		for k := 0; k < shards[i].N; k++ {
 			row := it.Entry().Key
 			it.Next()
@@ -451,8 +456,10 @@ func (e *run) indexSeek(n *plan.IndexSeek, c *Collector) ([]datum.Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	lo := append(datum.Row(nil), n.EqVals...)
-	hi := append(datum.Row(nil), n.EqVals...)
+	// Both bounds start as the equality prefix itself: Seek only reads
+	// them, and the full slice expression makes a range append copy.
+	lo := n.EqVals[:len(n.EqVals):len(n.EqVals)]
+	hi := lo
 	loInc, hiInc := true, true
 	if n.Lo != nil {
 		lo = append(lo, *n.Lo)
@@ -536,16 +543,18 @@ func (e *run) filter(n *plan.Filter, c *Collector) ([]datum.Row, error) {
 	var out []datum.Row
 	err = runMorsels(e, "filter", chunkBounds(len(in)),
 		func(i int) (*datum.Batch, error) {
-			b := datum.NewBatch(0)
 			rows := chunkOf(in, i)
 			if useVec {
 				w := getVecWork()
-				for _, k := range vf.vecApply(&w.s, rows) {
+				sel := vf.vecApply(&w.s, rows)
+				b := datum.NewBatch(len(sel))
+				for _, k := range sel {
 					b.Append(rows[k])
 				}
 				putVecWork(w)
 				return b, nil
 			}
+			b := datum.NewBatch(0)
 			for _, r := range rows {
 				ok, perr := pred(r)
 				if perr != nil {
@@ -580,8 +589,11 @@ func (e *run) project(n *plan.Project, c *Collector) ([]datum.Row, error) {
 		}
 		fns[i] = f
 	}
-	ves, vok := compileVecExprs(n.Exprs, n.Child.Schema())
-	useVec := vok && e.vecOn(len(in))
+	var ves []vecExpr
+	useVec := e.vecOn(len(in))
+	if useVec {
+		ves, useVec = compileVecExprs(n.Exprs, n.Child.Schema())
+	}
 	markEngine(c, n, useVec)
 	out := make([]datum.Row, 0, len(in))
 	err = runMorsels(e, "project", chunkBounds(len(in)),
@@ -990,8 +1002,9 @@ func (e *run) crossJoin(n *plan.CrossJoin, c *Collector) ([]datum.Row, error) {
 	var out []datum.Row
 	err = runMorsels(e, "crossjoin", chunkBounds(len(left)),
 		func(i int) (*datum.Batch, error) {
-			b := datum.NewBatch(0)
-			for _, l := range chunkOf(left, i) {
+			ls := chunkOf(left, i)
+			b := datum.NewBatch(len(ls) * len(right))
+			for _, l := range ls {
 				for _, r := range right {
 					combined := b.Alloc(len(l) + len(r))
 					copy(combined, l)
@@ -1230,71 +1243,77 @@ func (e *run) hashAgg(n *plan.HashAgg, c *Collector) ([]datum.Row, error) {
 	markEngine(c, n, useVec)
 	// Parallel partial aggregation, split at the only safe seam: workers
 	// do the pure per-row work (group-key rendering and argument
-	// evaluation) over disjoint chunks — columnar when the expressions
-	// compile to kernels — and the coordinator folds rows into groups
-	// sequentially in the original input order. Folding in input order
-	// keeps float accumulation (SUM/AVG) and group first-appearance
-	// order bit-identical to the sequential executor.
-	evald := make([]aggEvalRow, len(in))
+	// evaluation) over disjoint morsels into pooled chunks — columnar
+	// when the expressions compile to kernels — and the coordinator
+	// folds each chunk into the groups as it consumes it, in morsel
+	// order, then recycles it. Folding in input order keeps float
+	// accumulation (SUM/AVG), group first-appearance order and the first
+	// error bit-identical to the sequential executor, and memory stays
+	// proportional to the groups plus the chunks in flight.
+	na := len(n.Aggs)
+	groups := map[string]int{}
+	var states [][]aggState
 	err = runMorsels(e, "hashagg-eval", chunkBounds(len(in)),
-		func(i int) (struct{}, error) {
-			lo := i * morselRows
+		func(i int) (*aggChunk, error) {
 			rows := chunkOf(in, i)
+			ch := getAggChunk()
+			ch.ends = slices.Grow(ch.ends, len(rows))
+			ch.vals = slices.Grow(ch.vals, len(rows)*na)
 			if useVec {
 				w := getVecWork()
-				ok := hashAggEvalVec(groupVes, argVes, rows, evald[lo:lo+len(rows)], &w.m)
+				ok := hashAggEvalVec(groupVes, argVes, rows, ch, &w.m)
 				putVecWork(w)
 				if ok {
-					return struct{}{}, nil
+					return ch, nil
 				}
 			}
-			for j, r := range rows {
-				gkey := make(datum.Row, len(groupFns))
-				for k, f := range groupFns {
+			for _, r := range rows {
+				for _, f := range groupFns {
 					v, ferr := f(r)
 					if ferr != nil {
-						return struct{}{}, ferr
+						putAggChunk(ch)
+						return nil, ferr
 					}
-					gkey[k] = v
+					ch.keys = v.AppendKey(ch.keys)
+					ch.keys = append(ch.keys, '\x00')
 				}
-				vals := make([]datum.Datum, len(n.Aggs))
+				ch.ends = append(ch.ends, len(ch.keys))
 				for k, a := range n.Aggs {
 					if a.Star {
-						vals[k] = datum.NewInt(1)
+						ch.vals = append(ch.vals, datum.NewInt(1))
 						continue
 					}
 					v, ferr := argFns[k](r)
 					if ferr != nil {
-						return struct{}{}, ferr
+						putAggChunk(ch)
+						return nil, ferr
 					}
-					vals[k] = v
+					ch.vals = append(ch.vals, v)
 				}
-				evald[lo+j] = aggEvalRow{gkey: rowKey(gkey), vals: vals}
 			}
-			return struct{}{}, nil
+			return ch, nil
 		},
-		func(int, struct{}) error { return nil })
+		func(_ int, ch *aggChunk) error {
+			lo := 0
+			for j, end := range ch.ends {
+				key := ch.keys[lo:end]
+				lo = end
+				g, ok := groups[string(key)]
+				if !ok {
+					g = len(states)
+					groups[string(key)] = g
+					states = append(states, make([]aggState, na))
+				}
+				st := states[g]
+				for k, v := range ch.vals[j*na : (j+1)*na] {
+					st[k].add(v)
+				}
+			}
+			putAggChunk(ch)
+			return nil
+		})
 	if err != nil {
 		return nil, err
-	}
-	type group struct {
-		states []*aggState
-	}
-	groups := map[string]*group{}
-	var order []string
-	for _, er := range evald {
-		g, ok := groups[er.gkey]
-		if !ok {
-			g = &group{states: make([]*aggState, len(n.Aggs))}
-			for i := range g.states {
-				g.states[i] = &aggState{}
-			}
-			groups[er.gkey] = g
-			order = append(order, er.gkey)
-		}
-		for i := range n.Aggs {
-			g.states[i].add(er.vals[i])
-		}
 	}
 	// A global aggregate over zero rows still yields one row.
 	if len(groups) == 0 && len(n.GroupBy) == 0 {
@@ -1305,16 +1324,15 @@ func (e *run) hashAgg(n *plan.HashAgg, c *Collector) ([]datum.Row, error) {
 		}
 		return []datum.Row{row}, nil
 	}
-	out := make([]datum.Row, 0, len(groups))
-	for _, k := range order {
-		g := groups[k]
-		row := make(datum.Row, len(n.Aggs))
+	out := make([]datum.Row, 0, len(states))
+	for _, st := range states {
+		row := make(datum.Row, na)
 		for i, a := range n.Aggs {
 			fn := a.Func
 			if a.Star {
 				fn = "COUNT"
 			}
-			row[i] = g.states[i].result(fn)
+			row[i] = st[i].result(fn)
 		}
 		out = append(out, row)
 	}

@@ -549,19 +549,36 @@ func projectVec(ves []vecExpr, rows []datum.Row, b *datum.Batch, m *vecMorsel) b
 	return true
 }
 
-// aggEvalRow is one input row after the aggregate eval stage: rendered
-// group key plus evaluated aggregate arguments. The coordinator folds
-// these into groups sequentially in input order.
-type aggEvalRow struct {
-	gkey string
+// aggChunk is one morsel's output of the aggregate eval stage: the
+// rendered group keys packed into one byte buffer (row j's key ends at
+// ends[j]) and the evaluated aggregate arguments, row-major. Chunks are
+// pooled; the coordinator folds each into the groups in morsel order
+// and then recycles it.
+type aggChunk struct {
+	keys []byte
+	ends []int
 	vals []datum.Datum
 }
 
+var aggChunkPool = sync.Pool{New: func() any { return new(aggChunk) }}
+
+func getAggChunk() *aggChunk { return aggChunkPool.Get().(*aggChunk) }
+
+// putAggChunk empties a chunk and returns it to the pool. The argument
+// datums are zeroed first so a pooled chunk pins no strings.
+func putAggChunk(ch *aggChunk) {
+	clear(ch.vals)
+	ch.keys, ch.ends, ch.vals = ch.keys[:0], ch.ends[:0], ch.vals[:0]
+	aggChunkPool.Put(ch)
+}
+
 // hashAggEvalVec runs the aggregate eval stage columnar over one
-// morsel: group keys render through datum.AppendKey (the exact bytes
-// rowKey produces, so vectorized and scalar runs group identically) and
-// aggregate arguments come from gathered columns.
-func hashAggEvalVec(groupVes, argVes []vecExpr, rows []datum.Row, out []aggEvalRow, m *vecMorsel) bool {
+// morsel into ch: group keys render through datum.AppendKey (the exact
+// bytes the scalar path produces, so vectorized and scalar runs group
+// identically) and aggregate arguments come from gathered columns. It
+// writes nothing on fallback, so the caller's scalar retry starts from
+// an empty chunk.
+func hashAggEvalVec(groupVes, argVes []vecExpr, rows []datum.Row, ch *aggChunk, m *vecMorsel) bool {
 	m.reset(rows, nil)
 	gcols, ok := evalVecCols(groupVes, m)
 	if !ok {
@@ -571,22 +588,15 @@ func hashAggEvalVec(groupVes, argVes []vecExpr, rows []datum.Row, out []aggEvalR
 	if !ok {
 		return false
 	}
-	// One slab for the whole morsel's argument datums instead of one
-	// allocation per row; the carved slices escape into out, the slab
-	// does not get reused.
-	slab := make([]datum.Datum, len(rows)*len(acols))
-	var buf []byte
 	for j := range rows {
-		buf = buf[:0]
 		for _, c := range gcols {
-			buf = c.DatumAt(j).AppendKey(buf)
-			buf = append(buf, '\x00')
+			ch.keys = c.DatumAt(j).AppendKey(ch.keys)
+			ch.keys = append(ch.keys, '\x00')
 		}
-		vals := slab[j*len(acols) : (j+1)*len(acols) : (j+1)*len(acols)]
-		for k, c := range acols {
-			vals[k] = c.DatumAt(j)
+		ch.ends = append(ch.ends, len(ch.keys))
+		for _, c := range acols {
+			ch.vals = append(ch.vals, c.DatumAt(j))
 		}
-		out[j] = aggEvalRow{gkey: string(buf), vals: vals}
 	}
 	return true
 }

@@ -2,6 +2,7 @@ package par
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -24,12 +25,20 @@ func TestPoolSlots(t *testing.T) {
 	p.Release(2)
 }
 
+// TestPoolSequential pins NewPool's documented contract on any core
+// count: one worker means no extra slots, and workers <= 0 means
+// GOMAXPROCS workers, i.e. GOMAXPROCS-1 extra slots beside the caller.
 func TestPoolSequential(t *testing.T) {
-	for _, w := range []int{0, 1} {
-		p := NewPool(w)
-		if got := p.TryAcquire(8); got != 0 {
-			t.Fatalf("NewPool(%d).TryAcquire = %d, want 0", w, got)
-		}
+	if got := NewPool(1).TryAcquire(8); got != 0 {
+		t.Fatalf("NewPool(1).TryAcquire = %d, want 0", got)
+	}
+	procs := runtime.GOMAXPROCS(0)
+	p := NewPool(0)
+	if p.Workers() != procs {
+		t.Fatalf("NewPool(0).Workers() = %d, want GOMAXPROCS = %d", p.Workers(), procs)
+	}
+	if got := p.TryAcquire(procs + 8); got != procs-1 {
+		t.Fatalf("NewPool(0).TryAcquire = %d, want GOMAXPROCS-1 = %d", got, procs-1)
 	}
 	var nilPool *Pool
 	if nilPool.Workers() != 1 {
