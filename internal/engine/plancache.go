@@ -60,7 +60,8 @@ type PlanCacheStats struct {
 // rebinding. Entries are immutable after insertion; all fields are read
 // under the shard lock or from the (read-only) Result.
 type planEntry struct {
-	hash       uint64
+	hash       uint64 // exactKey: template hash mixed with the bindings
+	fpHash     uint64 // template hash alone (the rebind tier's key)
 	template   string
 	bindings   []datum.Datum
 	lits       []*sql.Literal
@@ -71,10 +72,16 @@ type planEntry struct {
 	rules      optimizer.Rules
 }
 
+// planShard is one LRU of the plan tier. byHash holds the entries whose
+// exact key maps to this shard; generic holds, for the templates whose
+// hash maps here, the latest stored Generic entry (which may live in
+// another shard's LRU) so CacheRebind can find a plan by template.
+// Code never holds two shard locks at once.
 type planShard struct {
-	mu     sync.Mutex
-	ll     *list.List // front = most recently used
-	byHash map[uint64]*list.Element
+	mu      sync.Mutex
+	ll      *list.List // front = most recently used
+	byHash  map[uint64]*list.Element
+	generic map[uint64]*planEntry
 }
 
 // stmtEntry caches one parsed statement text: the AST plus its
@@ -93,9 +100,9 @@ type stmtShard struct {
 }
 
 // planCache is the engine's two-tier statement cache: a statement-text
-// tier (text → parsed AST + fingerprint) and a plan tier (fingerprint →
-// optimizer Result keyed by configVersion/statsEpoch/sizes). Both tiers
-// are sharded LRUs safe for concurrent statements.
+// tier (text → parsed AST + fingerprint) and a plan tier ((template,
+// bindings) → optimizer Result keyed by configVersion/statsEpoch/sizes).
+// Both tiers are sharded LRUs safe for concurrent statements.
 type planCache struct {
 	mode  atomic.Int32
 	plans [planShards]planShard
@@ -124,6 +131,7 @@ func newPlanCache(reg *obs.Registry) *planCache {
 	for i := range pc.plans {
 		pc.plans[i].ll = list.New()
 		pc.plans[i].byHash = make(map[uint64]*list.Element)
+		pc.plans[i].generic = make(map[uint64]*planEntry)
 	}
 	for i := range pc.stmts {
 		pc.stmts[i].ll = list.New()
@@ -198,79 +206,124 @@ func (pc *planCache) storeStmt(e *stmtEntry) {
 	}
 }
 
+// exactKey is the plan tier's key: the template hash mixed with a hash
+// of the literal bindings, so each (template, bindings) pair owns its
+// own entry. bindingsEqual guards against key collisions.
+func exactKey(fp *sql.Fingerprint) uint64 {
+	return (fp.Hash ^ datum.Row(fp.Bindings).Hash()) * 1099511628211
+}
+
 // lookupPlan probes the plan tier. cfgV/statsE/sizeSig are the caller's
-// freshly captured validity tokens; a template-matching entry from an
-// older epoch is dropped (counted as an invalidation). Exact hits
-// return a shallow copy of the cached Result flagged FromCache; in
-// CacheRebind mode a Generic entry additionally serves different
+// freshly captured validity tokens; a matching entry from an older
+// epoch is dropped (counted as an invalidation). Exact hits return a
+// shallow copy of the cached Result flagged FromCache; in CacheRebind
+// mode a Generic entry of the same template additionally serves other
 // bindings through Optimizer.Rebind.
 func (db *DB) lookupPlan(fp *sql.Fingerprint, mode CacheMode, cfgV, statsE int64, sizeSig uint64, rules optimizer.Rules) *optimizer.Result {
 	pc := db.pc
-	sh := &pc.plans[fp.Hash%planShards]
+	key := exactKey(fp)
+	sh := &pc.plans[key%planShards]
 	sh.mu.Lock()
-	el, ok := sh.byHash[fp.Hash]
-	if !ok {
-		sh.mu.Unlock()
-		pc.misses.Inc()
-		return nil
+	if el, ok := sh.byHash[key]; ok {
+		e := el.Value.(*planEntry)
+		switch {
+		case e.template != fp.Template || !bindingsEqual(e.bindings, fp.Bindings):
+			// Key collision: fall through as a miss.
+		case !e.current(cfgV, statsE, rules):
+			sh.ll.Remove(el)
+			delete(sh.byHash, key)
+			sh.mu.Unlock()
+			pc.forgetGeneric(e)
+			pc.invalidations.Inc()
+			pc.misses.Inc()
+			return nil
+		case e.sizeSig == sizeSig:
+			sh.ll.MoveToFront(el)
+			sh.mu.Unlock()
+			pc.hits.Inc()
+			out := *e.res
+			out.FromCache = true
+			return &out
+		}
 	}
-	e := el.Value.(*planEntry)
-	if e.template != fp.Template {
-		sh.mu.Unlock() // hash collision: treat as a plain miss
-		pc.misses.Inc()
-		return nil
-	}
-	// The rule set is part of the plan-cache key: a plan optimized under
-	// one setting must never serve a statement running under another.
-	if e.cfgVersion != cfgV || e.statsEpoch != statsE || e.rules != rules {
-		sh.ll.Remove(el)
-		delete(sh.byHash, fp.Hash)
-		sh.mu.Unlock()
-		pc.invalidations.Inc()
-		pc.misses.Inc()
-		return nil
-	}
-	if e.sizeSig == sizeSig && bindingsEqual(e.bindings, fp.Bindings) {
-		sh.ll.MoveToFront(el)
-		res := e.res
-		sh.mu.Unlock()
-		pc.hits.Inc()
-		out := *res
-		out.FromCache = true
-		return &out
-	}
-	if mode != CacheRebind || !e.res.Generic {
-		sh.mu.Unlock()
-		pc.misses.Inc()
-		return nil
-	}
-	sh.ll.MoveToFront(el)
-	res, lits := e.res, e.lits
 	sh.mu.Unlock()
-	if out, ok := db.Opt.Rebind(res, lits, fp.Bindings); ok {
-		pc.rebindHits.Inc()
-		return out
+	if mode == CacheRebind {
+		if out := db.rebindPlan(fp, cfgV, statsE, rules); out != nil {
+			pc.rebindHits.Inc()
+			return out
+		}
 	}
 	pc.misses.Inc()
 	return nil
 }
 
+// current reports whether the entry was computed under the caller's
+// configuration version, statistics epoch and rule set. The rule set is
+// part of the key: a plan optimized under one setting must never serve
+// a statement running under another.
+func (e *planEntry) current(cfgV, statsE int64, rules optimizer.Rules) bool {
+	return e.cfgVersion == cfgV && e.statsEpoch == statsE && e.rules == rules
+}
+
+// rebindPlan serves a statement from the latest Generic entry of its
+// template by substituting its bindings, or returns nil.
+func (db *DB) rebindPlan(fp *sql.Fingerprint, cfgV, statsE int64, rules optimizer.Rules) *optimizer.Result {
+	sh := &db.pc.plans[fp.Hash%planShards]
+	sh.mu.Lock()
+	e := sh.generic[fp.Hash]
+	sh.mu.Unlock()
+	if e == nil || e.template != fp.Template || !e.current(cfgV, statsE, rules) {
+		return nil
+	}
+	out, ok := db.Opt.Rebind(e.res, e.lits, fp.Bindings)
+	if !ok {
+		return nil
+	}
+	return out
+}
+
 func (pc *planCache) storePlan(e *planEntry) {
+	// Publish the rebind pointer before the entry enters the LRU, so an
+	// eviction of e always runs its forgetGeneric after this store.
+	if e.res != nil && e.res.Generic {
+		gsh := &pc.plans[e.fpHash%planShards]
+		gsh.mu.Lock()
+		gsh.generic[e.fpHash] = e
+		gsh.mu.Unlock()
+	}
 	sh := &pc.plans[e.hash%planShards]
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	var dropped *planEntry
 	if el, ok := sh.byHash[e.hash]; ok {
+		dropped = el.Value.(*planEntry)
 		el.Value = e
 		sh.ll.MoveToFront(el)
-		return
+	} else {
+		sh.byHash[e.hash] = sh.ll.PushFront(e)
+		if sh.ll.Len() > planShardCap {
+			back := sh.ll.Back()
+			dropped = back.Value.(*planEntry)
+			delete(sh.byHash, dropped.hash)
+			sh.ll.Remove(back)
+			pc.evictions.Inc()
+		}
 	}
-	sh.byHash[e.hash] = sh.ll.PushFront(e)
-	if sh.ll.Len() > planShardCap {
-		back := sh.ll.Back()
-		delete(sh.byHash, back.Value.(*planEntry).hash)
-		sh.ll.Remove(back)
-		pc.evictions.Inc()
+	sh.mu.Unlock()
+	if dropped != nil {
+		pc.forgetGeneric(dropped)
 	}
+}
+
+// forgetGeneric drops the template's rebind pointer when it still names
+// an entry that left the LRU, so the pointers never outnumber the
+// cached entries.
+func (pc *planCache) forgetGeneric(e *planEntry) {
+	sh := &pc.plans[e.fpHash%planShards]
+	sh.mu.Lock()
+	if sh.generic[e.fpHash] == e {
+		delete(sh.generic, e.fpHash)
+	}
+	sh.mu.Unlock()
 }
 
 func bindingsEqual(a, b []datum.Datum) bool {
@@ -363,7 +416,8 @@ func (db *DB) optimizeMaybeCached(stmt sql.Statement, fpp **sql.Fingerprint) (*o
 	// name.
 	if db.Mgr.ConfigVersion() == cfgV && db.Stats.Epoch() == statsE && db.Opt.Rules() == rules {
 		db.pc.storePlan(&planEntry{
-			hash:       fp.Hash,
+			hash:       exactKey(fp),
+			fpHash:     fp.Hash,
 			template:   fp.Template,
 			bindings:   fp.Bindings,
 			lits:       fp.Lits,

@@ -8,6 +8,7 @@ import (
 
 	"onlinetuner/internal/executor"
 	"onlinetuner/internal/obs"
+	"onlinetuner/internal/optimizer"
 )
 
 // canonRows renders a result set order-independently for comparison.
@@ -57,15 +58,18 @@ func TestPlanCacheExactHit(t *testing.T) {
 	wantMarker(t, db, q, "-- plan: cached (exact)")
 
 	// A different literal is a different exact key: miss under the
-	// default mode, then its own entry... which overwrites the shared
-	// per-template slot, so the first literal misses again after.
+	// default mode, then its own entry beside the first one — the
+	// template's earlier literal stays an exact hit.
 	wantMarker(t, db, "SELECT a, b FROM R WHERE a < 20", "-- plan: fresh")
 	wantMarker(t, db, "SELECT a, b FROM R WHERE a < 20", "-- plan: cached (exact)")
+	wantMarker(t, db, q, "-- plan: cached (exact)")
 
 	// Execution goes through the same cache and produces the same rows.
+	db.SetPlanCacheMode(CacheOff)
+	want := db.MustExec(q)
+	db.SetPlanCacheMode(CacheExact)
 	before := db.PlanCacheStats()
-	want := db.MustExec(q) // fresh (slot holds the a<20 entry)
-	got := db.MustExec(q)  // exact hit
+	got := db.MustExec(q) // exact hit
 	sameResult(t, "cached exact execution", got, want)
 	after := db.PlanCacheStats()
 	if after.Hits <= before.Hits {
@@ -230,5 +234,28 @@ func TestPlanCacheLRUBound(t *testing.T) {
 	last := uint64((3*planShardCap - 1) * planShards)
 	if _, ok := sh.byHash[last]; !ok {
 		t.Fatal("most recent entry was evicted")
+	}
+}
+
+// TestPlanCacheGenericPointersBounded: the rebind tier's per-template
+// pointers leave with their entries, so they never outnumber the
+// entries the LRU holds.
+func TestPlanCacheGenericPointersBounded(t *testing.T) {
+	pc := newPlanCache(obs.NewRegistry())
+	generic := &optimizer.Result{Generic: true}
+	for i := 0; i < 3*planShardCap; i++ {
+		pc.storePlan(&planEntry{hash: uint64(i * planShards), fpHash: uint64(i), template: fmt.Sprint(i), res: generic})
+	}
+	pointers := 0
+	for i := range pc.plans {
+		pointers += len(pc.plans[i].generic)
+	}
+	if held := pc.plans[0].ll.Len(); pointers != held {
+		t.Fatalf("%d rebind pointers for %d cached entries", pointers, held)
+	}
+	// The most recent entry is still reachable by template.
+	last := uint64(3*planShardCap - 1)
+	if e := pc.plans[last%planShards].generic[last]; e == nil || e.fpHash != last {
+		t.Fatal("most recent generic entry lost its rebind pointer")
 	}
 }

@@ -1,6 +1,7 @@
 package executor
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -163,9 +164,9 @@ func (e *Executor) RunContext(ctx context.Context, p plan.Node, c *Collector) (*
 	case *plan.InsertNode:
 		return r.timedDML(p, c, func() (*ResultSet, error) { return r.runInsert(n, c) })
 	case *plan.UpdateNode:
-		return r.timedDML(p, c, func() (*ResultSet, error) { return r.runUpdate(n) })
+		return r.timedDML(p, c, func() (*ResultSet, error) { return r.runUpdate(n, c) })
 	case *plan.DeleteNode:
-		return r.timedDML(p, c, func() (*ResultSet, error) { return r.runDelete(n) })
+		return r.timedDML(p, c, func() (*ResultSet, error) { return r.runDelete(n, c) })
 	}
 	rows, err := r.exec(p, c)
 	if err != nil {
@@ -440,21 +441,18 @@ func (e *run) indexScan(n *plan.IndexScan, c *Collector) ([]datum.Row, error) {
 	return out, nil
 }
 
-func (e *run) indexSeek(n *plan.IndexSeek, c *Collector) ([]datum.Row, error) {
+// openSeek positions an iterator at the start of an IndexSeek's key
+// range — the one copy of the seek-bounds logic, shared by SELECT seeks
+// and DML locate. A seek on an index that is no longer active fails
+// with ErrStaleIndex; every seek draws once from the PageRead fault
+// site.
+func (e *run) openSeek(n *plan.IndexSeek) (*storage.Iterator, error) {
 	pi := e.mgr.Index(n.Index.ID())
 	if pi == nil || pi.State() != storage.StateActive {
 		return nil, fmt.Errorf("executor: index %s: %w", n.Index.Name, ErrStaleIndex)
 	}
 	if err := e.faults.Hit(fault.PageRead); err != nil {
 		return nil, fmt.Errorf("executor: seek on index %s: %w", n.Index.Name, err)
-	}
-	// Point-lookup fast path: a seek touches few rows and is inherently
-	// ordered, so it always stays row-at-a-time regardless of mode.
-	markEngine(c, n, false)
-	h := e.mgr.Heap(n.Index.Table)
-	pred, err := compilePreds(n.Preds, n.Schema())
-	if err != nil {
-		return nil, err
 	}
 	// Both bounds start as the equality prefix itself: Seek only reads
 	// them, and the full slice expression makes a range append copy.
@@ -469,18 +467,29 @@ func (e *run) indexSeek(n *plan.IndexSeek, c *Collector) ([]datum.Row, error) {
 		hi = append(hi, *n.Hi)
 		hiInc = n.HiInc
 	}
-	var it *storage.Iterator
 	switch {
 	case len(lo) == 0 && len(hi) == 0:
-		it = pi.Tree().Scan()
+		return pi.Tree().Scan(), nil
 	case len(lo) == 0:
-		it = pi.Tree().Seek(datum.Row{datum.Null}, true, hi, hiInc)
-	default:
-		if len(hi) == 0 {
-			it = pi.Tree().Seek(lo, loInc, nil, false)
-		} else {
-			it = pi.Tree().Seek(lo, loInc, hi, hiInc)
-		}
+		return pi.Tree().Seek(datum.Row{datum.Null}, true, hi, hiInc), nil
+	case len(hi) == 0:
+		return pi.Tree().Seek(lo, loInc, nil, false), nil
+	}
+	return pi.Tree().Seek(lo, loInc, hi, hiInc), nil
+}
+
+func (e *run) indexSeek(n *plan.IndexSeek, c *Collector) ([]datum.Row, error) {
+	it, err := e.openSeek(n)
+	if err != nil {
+		return nil, err
+	}
+	// Point-lookup fast path: a seek touches few rows and is inherently
+	// ordered, so it always stays row-at-a-time regardless of mode.
+	markEngine(c, n, false)
+	h := e.mgr.Heap(n.Index.Table)
+	pred, err := compilePreds(n.Preds, n.Schema())
+	if err != nil {
+		return nil, err
 	}
 	var out []datum.Row
 	var scanned, keyBytes, fetches int64
@@ -1391,20 +1400,99 @@ func (e *run) runInsert(n *plan.InsertNode, c *Collector) (*ResultSet, error) {
 	return &ResultSet{Affected: len(rows)}, nil
 }
 
-func (e *run) runUpdate(n *plan.UpdateNode) (*ResultSet, error) {
+// target is one row a DML statement changes: its RID and the row as
+// located, which is also the undo image.
+type target struct {
+	rid storage.RID
+	row datum.Row
+}
+
+// locate collects the rows of table t that satisfy where, finding
+// candidates through the plan's chosen access path: a SeqScan walks the
+// heap, an IndexSeek walks its key range (an IndexScan the whole index)
+// and fetches each candidate from the heap. The full where decides
+// every candidate, so a seek's bounds only prune. The targets come back
+// sorted by RID, the order a heap scan yields them in, so mutation
+// order — and with it WAL records, the heap free list and recovery — is
+// the same whichever path located the rows. Collecting before mutating
+// keeps the walk off the structures the statement is about to change.
+func (e *run) locate(loc plan.Node, t *catalog.Table, where []sql.Expr, c *Collector) ([]target, error) {
+	h := e.mgr.Heap(t.Name)
+	if h == nil {
+		return nil, fmt.Errorf("executor: table %s not materialized", t.Name)
+	}
+	pred, err := compilePreds(where, plan.TableSchema(t, ""))
+	if err != nil {
+		return nil, err
+	}
+	var out []target
+	var scanned, pages int64
+	var perr error
+	keep := func(rid storage.RID, r datum.Row) bool {
+		scanned++
+		ok, err := pred(r)
+		if err == nil {
+			err = e.tick()
+		}
+		if err != nil {
+			perr = err
+			return false
+		}
+		if ok {
+			out = append(out, target{rid: rid, row: r})
+		}
+		return true
+	}
+	switch n := loc.(type) {
+	case *plan.SeqScan:
+		h.Scan(keep)
+		pages = h.Pages()
+	case *plan.IndexSeek, *plan.IndexScan:
+		// An IndexScan (chosen when an index covers every column and is
+		// narrower than the heap) walks the index as an unbounded seek.
+		seek, ok := n.(*plan.IndexSeek)
+		if !ok {
+			seek = &plan.IndexSeek{Index: n.(*plan.IndexScan).Index}
+		}
+		it, err := e.openSeek(seek)
+		if err != nil {
+			return nil, err
+		}
+		var keyBytes int64
+		for ; it.Valid(); it.Next() {
+			ent := it.Entry()
+			keyBytes += int64(ent.Key.Width())
+			row := h.Get(ent.RID)
+			if row == nil {
+				return nil, fmt.Errorf("executor: dangling rid %d in index %s", ent.RID, seek.Index.Name)
+			}
+			if !keep(ent.RID, row) {
+				break
+			}
+		}
+		pages = storage.PagesFor(keyBytes) + scanned
+		slices.SortFunc(out, func(a, b target) int { return cmp.Compare(a.rid, b.rid) })
+	default:
+		return nil, fmt.Errorf("executor: DML cannot locate rows through %T", loc)
+	}
+	if perr != nil {
+		return nil, perr
+	}
+	if c != nil {
+		st := c.at(loc)
+		st.addRows(int64(len(out)))
+		st.addScanned(scanned)
+		st.addPages(pages)
+	}
+	return out, nil
+}
+
+func (e *run) runUpdate(n *plan.UpdateNode, c *Collector) (*ResultSet, error) {
 	t := e.cat.Table(n.Table)
 	if t == nil {
 		return nil, fmt.Errorf("executor: unknown table %s", n.Table)
 	}
-	h := e.mgr.Heap(n.Table)
-	if h == nil {
-		return nil, fmt.Errorf("executor: table %s not materialized", n.Table)
-	}
 	schema := plan.TableSchema(t, "")
-	pred, err := compilePreds(n.Where, schema)
-	if err != nil {
-		return nil, err
-	}
 	setFns := make([]evalFunc, len(n.Set))
 	setOrds := make([]int, len(n.Set))
 	for i, a := range n.Set {
@@ -1413,40 +1501,20 @@ func (e *run) runUpdate(n *plan.UpdateNode) (*ResultSet, error) {
 			return nil, fmt.Errorf("executor: unknown column %s", a.Column)
 		}
 		setOrds[i] = ord
+		var err error
 		if setFns[i], err = compile(a.Value, schema); err != nil {
 			return nil, err
 		}
 	}
-	// Collect matches first: mutating while scanning would be unsound.
-	type match struct {
-		rid storage.RID
-		row datum.Row
+	matches, err := e.locate(n.Locate, t, n.Where, c)
+	if err != nil {
+		return nil, err
 	}
-	var matches []match
-	var scanErr error
-	h.Scan(func(rid storage.RID, r datum.Row) bool {
-		ok, err := pred(r)
-		if err != nil {
-			scanErr = err
-			return false
-		}
-		if ok {
-			matches = append(matches, match{rid: rid, row: r})
-		}
-		return true
-	})
-	if scanErr != nil {
-		return nil, scanErr
-	}
-	type appliedUpdate struct {
-		rid storage.RID
-		old datum.Row
-	}
-	var applied []appliedUpdate
+	var applied []target
 	e.mgr.BeginStmt(n.Table)
 	rollback := func() {
 		for i := len(applied) - 1; i >= 0; i-- {
-			e.mgr.UndoUpdate(n.Table, applied[i].rid, applied[i].old)
+			e.mgr.UndoUpdate(n.Table, applied[i].rid, applied[i].row)
 		}
 		e.mgr.AbortStmt(n.Table)
 	}
@@ -1464,7 +1532,7 @@ func (e *run) runUpdate(n *plan.UpdateNode) (*ResultSet, error) {
 			rollback()
 			return nil, err
 		}
-		applied = append(applied, appliedUpdate{rid: mt.rid, old: mt.row})
+		applied = append(applied, mt)
 		if err := e.tick(); err != nil {
 			rollback()
 			return nil, err
@@ -1477,40 +1545,16 @@ func (e *run) runUpdate(n *plan.UpdateNode) (*ResultSet, error) {
 	return &ResultSet{Affected: len(matches)}, nil
 }
 
-func (e *run) runDelete(n *plan.DeleteNode) (*ResultSet, error) {
+func (e *run) runDelete(n *plan.DeleteNode, c *Collector) (*ResultSet, error) {
 	t := e.cat.Table(n.Table)
 	if t == nil {
 		return nil, fmt.Errorf("executor: unknown table %s", n.Table)
 	}
-	h := e.mgr.Heap(n.Table)
-	if h == nil {
-		return nil, fmt.Errorf("executor: table %s not materialized", n.Table)
-	}
-	pred, err := compilePreds(n.Where, plan.TableSchema(t, ""))
+	targets, err := e.locate(n.Locate, t, n.Where, c)
 	if err != nil {
 		return nil, err
 	}
-	type doomed struct {
-		rid storage.RID
-		row datum.Row
-	}
-	var targets []doomed
-	var scanErr error
-	h.Scan(func(rid storage.RID, r datum.Row) bool {
-		ok, err := pred(r)
-		if err != nil {
-			scanErr = err
-			return false
-		}
-		if ok {
-			targets = append(targets, doomed{rid: rid, row: r})
-		}
-		return true
-	})
-	if scanErr != nil {
-		return nil, scanErr
-	}
-	var applied []doomed
+	var applied []target
 	e.mgr.BeginStmt(n.Table)
 	rollback := func() {
 		for i := len(applied) - 1; i >= 0; i-- {

@@ -1,6 +1,7 @@
 package executor
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -315,11 +316,11 @@ func TestComparisonWithNullIsFalse(t *testing.T) {
 }
 
 func TestRunDispatchesDML(t *testing.T) {
-	cat, mgr, ex, _ := fixture(t, 10, true)
-	_ = cat
+	_, mgr, ex, ix := fixture(t, 10, true)
 	upd := &plan.UpdateNode{Table: "R",
-		Set:   []sql.Assignment{{Column: "b", Value: &sql.Literal{Value: datum.NewInt(99)}}},
-		Where: []sql.Expr{expr(t, "a = 3")}}
+		Set:    []sql.Assignment{{Column: "b", Value: &sql.Literal{Value: datum.NewInt(99)}}},
+		Where:  []sql.Expr{expr(t, "a = 3")},
+		Locate: &plan.IndexSeek{Index: ix, EqVals: []datum.Datum{datum.NewInt(3)}, Fetch: true}}
 	rs, err := ex.Run(upd)
 	if err != nil {
 		t.Fatal(err)
@@ -327,7 +328,8 @@ func TestRunDispatchesDML(t *testing.T) {
 	if rs.Affected != 1 {
 		t.Fatalf("affected = %d", rs.Affected)
 	}
-	del := &plan.DeleteNode{Table: "R", Where: []sql.Expr{expr(t, "b = 99")}}
+	del := &plan.DeleteNode{Table: "R", Where: []sql.Expr{expr(t, "b = 99")},
+		Locate: &plan.SeqScan{Table: "R"}}
 	rs, err = ex.Run(del)
 	if err != nil {
 		t.Fatal(err)
@@ -352,6 +354,32 @@ func TestRunDispatchesDML(t *testing.T) {
 	bad := &plan.InsertNode{Table: "R", Literals: []datum.Row{{datum.NewInt(1)}}}
 	if _, err := ex.Run(bad); err == nil {
 		t.Error("arity mismatch accepted")
+	}
+}
+
+// TestDMLLocateErrors: DML without a supported access path is refused,
+// and a locate seek on an index that is no longer active reports
+// ErrStaleIndex (the engine's cue to re-optimize) before mutating.
+func TestDMLLocateErrors(t *testing.T) {
+	_, mgr, ex, ix := fixture(t, 10, true)
+	where := []sql.Expr{expr(t, "a = 3")}
+	if _, err := ex.Run(&plan.DeleteNode{Table: "R", Where: where}); err == nil {
+		t.Error("DELETE without a Locate child accepted")
+	}
+	if _, err := ex.Run(&plan.DeleteNode{Table: "R", Where: where,
+		Locate: &plan.Limit{Child: &plan.SeqScan{Table: "R"}, N: 1}}); err == nil {
+		t.Error("DELETE located through a Limit accepted")
+	}
+	if err := mgr.DropIndex(ix.ID()); err != nil {
+		t.Fatal(err)
+	}
+	_, err := ex.Run(&plan.DeleteNode{Table: "R", Where: where,
+		Locate: &plan.IndexSeek{Index: ix, EqVals: []datum.Datum{datum.NewInt(3)}, Fetch: true}})
+	if !errors.Is(err, ErrStaleIndex) {
+		t.Fatalf("seek on dropped index: err = %v, want ErrStaleIndex", err)
+	}
+	if mgr.Heap("R").Len() != 10 {
+		t.Error("failed DELETE removed rows")
 	}
 }
 

@@ -904,13 +904,14 @@ func (o *Optimizer) dmlCost(t *catalog.Table, rows float64, touched int) float64
 }
 
 // planUpdate plans an UPDATE: the WHERE side is costed (and captured as
-// requests) like a select; execution locates rows by scan.
+// requests) like a select, and its chosen access path becomes the
+// node's Locate child, through which execution finds the rows.
 func (o *Optimizer) planUpdate(up *sql.Update) (*Result, error) {
 	t := o.env.Cat.Table(up.Table)
 	if t == nil {
 		return nil, fmt.Errorf("optimizer: unknown table %s", up.Table)
 	}
-	locCost, locRows, orNode, generic, err := o.locate(t, up.Where)
+	loc, orNode, generic, err := o.locate(t, up.Where)
 	if err != nil {
 		return nil, err
 	}
@@ -919,9 +920,10 @@ func (o *Optimizer) planUpdate(up *sql.Update) (*Result, error) {
 			return nil, fmt.Errorf("optimizer: unknown column %s in UPDATE %s", a.Column, t.Name)
 		}
 	}
-	node := &plan.UpdateNode{Table: t.Name, Set: up.Set, Where: splitConjuncts(up.Where)}
+	locRows := loc.EstRows()
+	node := &plan.UpdateNode{Table: t.Name, Set: up.Set, Where: splitConjuncts(up.Where), Locate: loc}
 	upReq := o.updateRequest(t, locRows)
-	cost := locCost + o.dmlCost(t, locRows, upReq.UpdateTouchedIndexes)
+	cost := loc.EstCost() + o.dmlCost(t, locRows, upReq.UpdateTouchedIndexes)
 	node.Cost = cost
 	node.Rows = locRows
 	children := []*whatif.Node{whatif.NewLeaf(upReq)}
@@ -937,13 +939,14 @@ func (o *Optimizer) planDelete(del *sql.Delete) (*Result, error) {
 	if t == nil {
 		return nil, fmt.Errorf("optimizer: unknown table %s", del.Table)
 	}
-	locCost, locRows, orNode, generic, err := o.locate(t, del.Where)
+	loc, orNode, generic, err := o.locate(t, del.Where)
 	if err != nil {
 		return nil, err
 	}
-	node := &plan.DeleteNode{Table: t.Name, Where: splitConjuncts(del.Where)}
+	locRows := loc.EstRows()
+	node := &plan.DeleteNode{Table: t.Name, Where: splitConjuncts(del.Where), Locate: loc}
 	upReq := o.updateRequest(t, locRows)
-	cost := locCost + o.dmlCost(t, locRows, upReq.UpdateTouchedIndexes)
+	cost := loc.EstCost() + o.dmlCost(t, locRows, upReq.UpdateTouchedIndexes)
 	node.Cost = cost
 	node.Rows = locRows
 	children := []*whatif.Node{whatif.NewLeaf(upReq)}
@@ -953,9 +956,10 @@ func (o *Optimizer) planDelete(del *sql.Delete) (*Result, error) {
 	return &Result{Plan: node, Tree: whatif.NewAnd(children...), Cost: cost, Rows: locRows, Generic: generic}, nil
 }
 
-// locate costs the row-location side of an UPDATE/DELETE and captures its
-// requests.
-func (o *Optimizer) locate(t *catalog.Table, where sql.Expr) (float64, float64, *whatif.Node, bool, error) {
+// locate plans the row-location side of an UPDATE/DELETE: it returns the
+// chosen access path (its cost and rows are the select part's estimate)
+// and captures the requests.
+func (o *Optimizer) locate(t *catalog.Table, where sql.Expr) (plan.Node, *whatif.Node, bool, error) {
 	pseudo := &sql.Select{
 		Items: []sql.SelectItem{{Star: true}},
 		From:  sql.TableRef{Table: t.Name},
@@ -964,14 +968,14 @@ func (o *Optimizer) locate(t *catalog.Table, where sql.Expr) (float64, float64, 
 	}
 	bq, err := bind(o.env.Cat, pseudo)
 	if err != nil {
-		return 0, 0, nil, false, err
+		return nil, nil, false, err
 	}
 	path := o.chooseAccess(bq.tables[0], nil)
 	var leaves []*whatif.Node
 	for _, r := range path.requests {
 		leaves = append(leaves, whatif.NewLeaf(r))
 	}
-	return path.cost, path.rows, whatif.NewOr(leaves...), genericPreds(bq), nil
+	return path.node, whatif.NewOr(leaves...), genericPreds(bq), nil
 }
 
 func indexOfFoldStr(ss []string, s string) int {

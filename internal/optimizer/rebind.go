@@ -264,7 +264,12 @@ func (rb *rebinder) node(n plan.Node) (plan.Node, bool) {
 		c.Preds = rb.exprs(x.Preds)
 		return &c, true
 	case *plan.UpdateNode:
+		loc, ok := rb.node(x.Locate)
+		if !ok {
+			return nil, false
+		}
 		c := *x
+		c.Locate = loc
 		set := make([]sql.Assignment, len(x.Set))
 		for i, a := range x.Set {
 			set[i] = a
@@ -274,7 +279,12 @@ func (rb *rebinder) node(n plan.Node) (plan.Node, bool) {
 		c.Where = rb.exprs(x.Where)
 		return &c, true
 	case *plan.DeleteNode:
+		loc, ok := rb.node(x.Locate)
+		if !ok {
+			return nil, false
+		}
 		c := *x
+		c.Locate = loc
 		c.Where = rb.exprs(x.Where)
 		return &c, true
 	}

@@ -429,27 +429,39 @@ func (n *InsertNode) Children() []Node {
 
 func (n *InsertNode) Label() string { return "Insert " + n.Table }
 
-// UpdateNode rewrites rows produced by Source (which must output the full
-// table row plus its RID through the executor's row-id channel).
+// UpdateNode rewrites the rows matching Where. Locate is the access
+// path the optimizer chose for the statement's select part — a SeqScan
+// of the heap or an IndexSeek whose bounds come from Where — and the
+// executor finds candidate rows through it, then applies the full Where
+// to each.
 type UpdateNode struct {
 	Base
-	Table string
-	Set   []sql.Assignment
-	Where []sql.Expr
+	Table  string
+	Set    []sql.Assignment
+	Where  []sql.Expr
+	Locate Node
 }
 
-func (n *UpdateNode) Children() []Node { return nil }
+func (n *UpdateNode) Children() []Node { return locateChildren(n.Locate) }
 
 func (n *UpdateNode) Label() string { return "Update " + n.Table }
 
-// DeleteNode removes rows matching Where.
+// DeleteNode removes the rows matching Where, located as for UpdateNode.
 type DeleteNode struct {
 	Base
-	Table string
-	Where []sql.Expr
+	Table  string
+	Where  []sql.Expr
+	Locate Node
 }
 
-func (n *DeleteNode) Children() []Node { return nil }
+func (n *DeleteNode) Children() []Node { return locateChildren(n.Locate) }
+
+func locateChildren(loc Node) []Node {
+	if loc == nil {
+		return nil
+	}
+	return []Node{loc}
+}
 
 func (n *DeleteNode) Label() string { return "Delete " + n.Table }
 
