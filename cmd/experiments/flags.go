@@ -7,8 +7,8 @@ import (
 )
 
 // parseCommand splits an argument list into its subcommand and applies
-// flags from either side of it: "experiments -scale 0.1 wal" and
-// "experiments wal -scale 0.1" both work, because the flag package
+// flags from either side of it: "experiments -scale 0.1 fig8" and
+// "experiments fig8 -scale 0.1" both work, because the flag package
 // stops at the first positional argument and whatever follows the
 // subcommand is re-parsed. Returns def when no subcommand is present.
 // Every subcommand used to inline this dance; keep it here, in one

@@ -19,7 +19,7 @@ func TestParseCommand(t *testing.T) {
 		wantErr   bool
 	}{
 		{name: "no args", args: nil, wantCmd: "all", wantScale: 0.5},
-		{name: "bare subcommand", args: []string{"wal"}, wantCmd: "wal", wantScale: 0.5},
+		{name: "bare subcommand", args: []string{"fig8"}, wantCmd: "fig8", wantScale: 0.5},
 		{name: "flags before", args: []string{"-scale", "0.1", "serve"}, wantCmd: "serve", wantScale: 0.1},
 		{name: "flags after", args: []string{"serve", "-scale", "0.1"}, wantCmd: "serve", wantScale: 0.1},
 		{name: "flags both sides", args: []string{"-scale", "0.2", "tuners", "-out", "x.json"},

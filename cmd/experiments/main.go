@@ -5,18 +5,17 @@
 //
 // Usage:
 //
-//	experiments [flags] table1|fig7a|fig7b|fig7c|fig7d|fig8|fig9|plancache|all
+//	experiments [flags] table1|fig7a|fig7b|fig7c|fig7d|fig8|fig9|ablation|competitive|tuners|serve|rules|all
 //
-// plancache benchmarks the engine's statement/plan cache on
-// repeated-template TPC-H workloads and, with -out FILE, writes the
-// report as JSON (the recorded BENCH_plancache.json). obs does the same
-// for statement-tracing overhead (the recorded BENCH_obs.json), fault
-// for fault-injection-layer overhead with the injector disabled (the
-// recorded BENCH_fault.json), and wal for WAL durability costs — commit
-// throughput per fsync policy, replay bandwidth, checkpoint pause (the
-// recorded BENCH_wal.json). rules measures the optimizer rewrite pack
+// Three subcommands write a report as JSON with -out FILE and re-check
+// a committed one with -verify FILE: tuners races the competing
+// advisors (BENCH_tuners.json), serve drives the TCP daemon
+// (BENCH_serve.json), and rules measures the optimizer rewrite pack
 // cell by cell — all-rules-off vs only-one-rule-on estimated cost,
-// result hashes, and latency (the recorded BENCH_rules.json).
+// result hashes, and latency (BENCH_rules.json). Micro-level timings
+// (plan cache, tracing and fault-layer overhead, morsel workers, row vs
+// vector, WAL commit/replay/checkpoint) are root-package benchmarks:
+// go test -run '^$' -bench . -benchmem.
 //
 // Flags scale the TPC-H workload (the defaults reproduce the shapes at
 // laptop scale in minutes):
@@ -27,14 +26,12 @@
 //	-updates disruptive update statements (fig7c/d)   default 40
 //	-engine  execution engine: auto|row|vector        default auto
 //	-rules   optimizer rule set (all|none|list)       default all
-//	-procs   override GOMAXPROCS (0 = leave as-is)    default 0
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 
 	"onlinetuner/internal/bench"
 	"onlinetuner/internal/tpch"
@@ -47,13 +44,12 @@ func main() {
 	seed := flag.Int64("seed", 1, "workload seed")
 	updates := flag.Int("updates", 40, "disruptive update statements (fig7c/fig7d)")
 	engineMode := flag.String("engine", "auto", "execution engine: auto|row|vector")
-	procs := flag.Int("procs", 0, "override GOMAXPROCS for this run (0 = leave as-is)")
-	out := flag.String("out", "", "plancache: also write the benchmark report as JSON to this file")
+	out := flag.String("out", "", "tuners/serve/rules: also write the report as JSON to this file")
 	seeds := flag.String("seeds", "1,2", "tuners: comma-separated race seeds")
 	scenarios := flag.String("scenarios", "", "tuners: comma-separated scenario subset (default all)")
 	advisors := flag.String("advisors", "", "tuners: comma-separated advisor subset (default all)")
 	statements := flag.Int("statements", 0, "tuners: cap each scenario's statement stream (0 = scenario default)")
-	verify := flag.String("verify", "", "tuners: verify an existing report file instead of racing")
+	verify := flag.String("verify", "", "tuners/serve/rules: verify an existing report file instead of measuring")
 	expect := flag.Bool("expect", false, "tuners -verify: also check the headline expectations (full-scale artifacts only)")
 	requests := flag.Int("requests", 60, "serve: requests per client per cell")
 	meta := flag.String("meta", "", "serve/rules: print the canonical metadata of a report file and exit")
@@ -66,9 +62,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *procs > 0 {
-		runtime.GOMAXPROCS(*procs)
-	}
 	opts := workload.TPCHOptions{
 		Scale:          tpch.Scale(*scale),
 		Seed:           *seed,
@@ -79,36 +72,9 @@ func main() {
 		Rules:          *rules,
 	}
 
-	if cmd == "plancache" {
-		if err := planCache(opts, *out); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if cmd == "obs" {
-		if err := obsOverhead(opts, *out); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if cmd == "fault" {
-		if err := faultOverhead(opts, *out); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if cmd == "exec" {
-		if err := execParallel(opts, *out); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if cmd == "tuners" {
-		if err := tunersRace(tunersFlags{
+	switch cmd {
+	case "tuners":
+		err = tunersRace(tunersFlags{
 			scale:      *scale,
 			engine:     *engineMode,
 			seeds:      *seeds,
@@ -118,34 +84,15 @@ func main() {
 			out:        *out,
 			verify:     *verify,
 			expect:     *expect,
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		return
+		})
+	case "rules":
+		err = rulesProfile(opts, *reps, *out, *verify, *meta)
+	case "serve":
+		err = serveProfile(opts, *requests, *out, *verify, *meta)
+	default:
+		err = run(cmd, opts)
 	}
-	if cmd == "rules" {
-		if err := rulesProfile(opts, *reps, *out, *verify, *meta); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if cmd == "serve" {
-		if err := serveProfile(opts, *requests, *out, *verify, *meta); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if cmd == "wal" {
-		if err := walProfile(opts, *out); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if err := run(cmd, opts); err != nil {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
@@ -190,7 +137,7 @@ func run(cmd string, opts workload.TPCHOptions) error {
 		}
 		return nil
 	}
-	return fmt.Errorf("unknown experiment %q (want table1|fig7a|fig7b|fig7c|fig7d|fig8|fig9|ablation|competitive|plancache|obs|fault|exec|wal|serve|rules|all)", cmd)
+	return fmt.Errorf("unknown experiment %q (want table1|fig7a|fig7b|fig7c|fig7d|fig8|fig9|ablation|competitive|tuners|serve|rules|all)", cmd)
 }
 
 func table1() error {
@@ -265,66 +212,6 @@ func ablation(opts workload.TPCHOptions) error {
 	}
 	fmt.Print(bench.FormatAblation(rows))
 	return nil
-}
-
-// planCache runs the plan-cache hot-path benchmark matrix. It is not
-// part of "all": it reports machine-dependent timings, while "all"
-// regenerates the paper's deterministic artifacts.
-func planCache(opts workload.TPCHOptions, out string) error {
-	rep, err := bench.PlanCache(opts.Scale, opts.Seed)
-	if err != nil {
-		return err
-	}
-	fmt.Print(bench.FormatPlanCache(rep))
-	return writeReportJSON(out, rep)
-}
-
-// obsOverhead runs the tracing-overhead matrix (see planCache for why
-// it is not part of "all").
-func obsOverhead(opts workload.TPCHOptions, out string) error {
-	rep, err := bench.Obs(opts.Scale, opts.Seed)
-	if err != nil {
-		return err
-	}
-	fmt.Print(bench.FormatObs(rep))
-	return writeReportJSON(out, rep)
-}
-
-// faultOverhead runs the fault-layer overhead matrix (see planCache for
-// why it is not part of "all").
-func faultOverhead(opts workload.TPCHOptions, out string) error {
-	rep, err := bench.Fault(opts.Scale, opts.Seed)
-	if err != nil {
-		return err
-	}
-	fmt.Print(bench.FormatFault(rep))
-	return writeReportJSON(out, rep)
-}
-
-// execParallel runs the morsel-parallel executor matrix, sequential vs
-// 1/2/4/8 workers on a fixed TPC-H batch (see planCache for why it is
-// not part of "all"). With -out FILE it writes the recorded
-// BENCH_parallel.json.
-func execParallel(opts workload.TPCHOptions, out string) error {
-	rep, err := bench.Parallel(opts.Scale, opts.Seed)
-	if err != nil {
-		return err
-	}
-	fmt.Print(bench.FormatParallel(rep))
-	return writeReportJSON(out, rep)
-}
-
-// walProfile runs the WAL durability cost matrix — commit throughput
-// per fsync policy, replay bandwidth, checkpoint pause (see planCache
-// for why it is not part of "all"). With -out FILE it writes the
-// recorded BENCH_wal.json.
-func walProfile(opts workload.TPCHOptions, out string) error {
-	rep, err := bench.WAL(opts.Scale, opts.Seed)
-	if err != nil {
-		return err
-	}
-	fmt.Print(bench.FormatWAL(rep))
-	return writeReportJSON(out, rep)
 }
 
 func competitive() error {

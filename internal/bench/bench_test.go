@@ -301,6 +301,18 @@ func TestAblationRuns(t *testing.T) {
 	}
 }
 
+func TestAblationSuite(t *testing.T) {
+	ws := AblationWorkloads(workload.TPCHOptions{Scale: 0.1, NumBatches: 100})
+	if len(ws) != 4 {
+		t.Fatalf("ablation suite has %d workloads, want 4", len(ws))
+	}
+	for _, w := range ws {
+		if len(w.Statements) == 0 {
+			t.Errorf("ablation workload %q is empty", w.Name)
+		}
+	}
+}
+
 func TestAblationNoDampingOscillates(t *testing.T) {
 	// The headline ablation claim: removing the damping rule makes the
 	// one-index-budget interleaved workload thrash.
@@ -399,38 +411,6 @@ func TestStabilization(t *testing.T) {
 	}
 	if lateChanges > earlyChanges {
 		t.Errorf("activity did not settle: %d early vs %d late changes", earlyChanges, lateChanges)
-	}
-}
-
-// TestFaultReportSmoke exercises the report plumbing (not the timings —
-// those are machine-dependent and recorded in BENCH_fault.json).
-func TestFaultReportSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs testing.Benchmark nine times")
-	}
-	rep, err := Fault(0.1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Results) != 3 {
-		t.Fatalf("results = %d, want 3", len(rep.Results))
-	}
-	for _, r := range rep.Results {
-		if r.NsPerOp <= 0 {
-			t.Errorf("%s: no timing", r.Name)
-		}
-	}
-	js, err := rep.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"overhead_disabled_pct", "seek/no-injector", "seek/disabled", "seek/armed-idle"} {
-		if !strings.Contains(string(js), want) {
-			t.Errorf("JSON missing %q", want)
-		}
-	}
-	if out := FormatFault(rep); !strings.Contains(out, "cached seek") {
-		t.Errorf("format incomplete:\n%s", out)
 	}
 }
 
